@@ -86,6 +86,7 @@ pub use topology::{
     ShardedVector,
 };
 pub use transpose::{
-    horizontal_to_vertical, transpose_64x64, vertical_to_horizontal, TranspositionUnit,
+    horizontal_to_vertical, horizontal_to_vertical_into, transpose_64x64, vertical_to_horizontal,
+    vertical_to_horizontal_into, TranspositionUnit,
 };
 pub use verify::{mismatches, reference_elementwise};

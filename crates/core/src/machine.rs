@@ -1,10 +1,10 @@
 //! The end-to-end SIMDRAM machine: allocation, layout conversion and bbop execution.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use simdram_dram::stats::DeviceStats;
-use simdram_dram::{BGroupRow, BitRow, CommandCosts, CommandTrace, DramDevice, RowAddr, Subarray};
+use simdram_dram::{BGroupRow, CommandCosts, CommandTrace, DramDevice, RowAddr, Subarray};
 use simdram_logic::Operation;
 use simdram_uprog::{
     execute as execute_uprog, CompiledProgram, DispatchEntry, MicroProgram, RowBinding,
@@ -21,7 +21,9 @@ use crate::layout::{RowAllocator, SimdVector};
 use crate::plan::{Plan, PlanBuilder, PlanExecution, Storage};
 use crate::report::{ExecutionReport, MachineStats, PlanReport};
 use crate::timing_backend::{TimingBackend, TimingBackendKind};
-use crate::transpose::{horizontal_to_vertical, vertical_to_horizontal, TranspositionUnit};
+use crate::transpose::{
+    horizontal_to_vertical_into, vertical_to_horizontal_into, TranspositionUnit,
+};
 
 /// One resolved step of a fused broadcast batch (see [`SimdramMachine::run_plan`]).
 enum RunStep {
@@ -149,14 +151,14 @@ fn run_steps_guarded(
         let (traces, injected) = run_steps(steps, sa, with_history)?;
         return Ok((traces, injected, 0));
     };
-    let baseline = sa.clone_data_rows();
+    let baseline = sa.snapshot_data_rows();
     let mut merged_traces: Vec<CommandTrace> = Vec::new();
     let mut merged_injected: Vec<u64> = vec![0; steps.len()];
     let mut attempts = 0u32;
     loop {
         attempts += 1;
         let (first_traces, first_injected) = run_steps(steps, sa, with_history)?;
-        let first = sa.clone_data_rows();
+        let first = sa.snapshot_data_rows();
         sa.restore_data_rows(&baseline);
         let (second_traces, second_injected) = run_steps(steps, sa, with_history)?;
         if merged_traces.is_empty() {
@@ -180,8 +182,7 @@ fn run_steps_guarded(
             return Ok((merged_traces, merged_injected, attempts - 1));
         }
         if attempts > max_retries {
-            let second = sa.clone_data_rows();
-            let mismatched_rows = first.iter().zip(&second).filter(|(a, b)| a != b).count();
+            let mismatched_rows = sa.mismatched_data_rows(&first);
             sa.restore_data_rows(&baseline);
             sa.drain_trace();
             return Err(CoreError::Fault(FaultError {
@@ -661,20 +662,17 @@ impl SimdramMachine {
         let columns = self.lanes_per_subarray();
         let width = vector.width();
         let base_row = vector.base_row();
-        // The layout conversion is per-chunk and pure, so each kernel converts its own
-        // slice of `values` in place: under the threaded policy the dominant
-        // O(lanes × width) transpose cost parallelizes along with the pokes, and no full
-        // converted copy of the data is ever materialized.
+        // The layout conversion is per-chunk and pure, so each kernel transposes its own
+        // slice of `values` straight into the destination rows' words: under the threaded
+        // policy the dominant O(lanes × width) transpose cost parallelizes, and no
+        // converted copy of the data is ever staged.
         let coords = self.compute_coords_at(chunk_offset, values.len().div_ceil(columns))?;
         self.executor
             .broadcast(&mut self.device, &coords, |chunk, sa| {
                 let start = chunk * columns;
                 let end = (start + columns).min(values.len());
-                let slices = horizontal_to_vertical(&values[start..end], width, columns);
-                for (bit, slice) in slices.iter().enumerate() {
-                    let row = BitRow::from_words(slice, columns);
-                    sa.poke(RowAddr::Data(base_row + bit), &row)?;
-                }
+                let mut rows = sa.data_rows_mut(base_row, width)?;
+                horizontal_to_vertical_into(&values[start..end], columns, &mut rows);
                 Ok(())
             })?;
         let latency = self.transposer.latency_ns(values.len(), width);
@@ -734,23 +732,25 @@ impl SimdramMachine {
         let width = vector.width();
         let base_row = vector.base_row();
         let len = vector.len();
-        let coords = self.compute_coords_at(chunk_offset, self.subarrays_for(len))?;
-        let chunk_values = self
-            .executor
+        // Each chunk transposes straight into its own slice of the one output vector.
+        let mut values = vec![0u64; len];
+        let outputs: Vec<Mutex<&mut [u64]>> = values.chunks_mut(columns).map(Mutex::new).collect();
+        let coords = self.compute_coords_at(chunk_offset, outputs.len())?;
+        self.executor
             .broadcast(&mut self.device, &coords, |chunk, sa| {
-                let lanes = columns.min(len - chunk * columns);
                 // Borrow each row's packed words directly — the inspect path never
                 // clones a row.
                 let mut slices: Vec<&[u64]> = Vec::with_capacity(width);
                 for bit in 0..width {
                     slices.push(sa.row(RowAddr::Data(base_row + bit))?.words());
                 }
-                Ok(vertical_to_horizontal(&slices, width, lanes))
+                let mut out = outputs[chunk]
+                    .lock()
+                    .expect("each output slice is locked once, by its own chunk's kernel");
+                vertical_to_horizontal_into(&slices, width, &mut out);
+                Ok(())
             })?;
-        let mut values = Vec::with_capacity(len);
-        for chunk in chunk_values {
-            values.extend(chunk);
-        }
+        drop(outputs);
         let latency = self.transposer.latency_ns(len, width);
         let energy = self.transposer.energy_nj(len, width);
         self.stats.record_transpose(latency, energy);

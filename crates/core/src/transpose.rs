@@ -113,47 +113,77 @@ impl TranspositionUnit {
 ///
 /// Slice `b` of the result holds bit `b` of every element — exactly the contents of DRAM row
 /// `base + b` in SIMDRAM's vertical layout. [`vertical_to_horizontal`] is the inverse.
-///
-/// The conversion is word-tiled: each group of 64 lanes forms one 64×64 tile that is
-/// transposed with [`transpose_64x64`] — the same primitive the hardware unit pipelines —
-/// so the cost is one tile transpose per 64 lanes instead of one inner loop per bit.
-/// `width` must be at most 64 (elements are `u64`s).
+/// This is the allocating wrapper over [`horizontal_to_vertical_into`], which writes the
+/// slices into caller-owned storage (e.g. the destination DRAM rows' words).
 pub fn horizontal_to_vertical(values: &[u64], width: usize, lanes: usize) -> Vec<Vec<u64>> {
-    let words_per_slice = lanes.div_ceil(64);
-    let mut slices = vec![vec![0u64; words_per_slice]; width];
-    let used = values.len().min(lanes);
+    let mut slices = vec![vec![0u64; lanes.div_ceil(64)]; width];
+    horizontal_to_vertical_into(values, lanes, &mut slices);
+    slices
+}
+
+/// In-place form of [`horizontal_to_vertical`]: transposes the first `lanes` of `values`
+/// into `slices`, one bit-slice per slice (`slices.len()` is the element width).
+///
+/// Every slice is overwritten in full: lanes past `lanes` (or past `values.len()`) and
+/// bits past the 64th slice read as zero. The conversion is word-tiled: each group of 64
+/// lanes forms one 64×64 tile that is transposed with [`transpose_64x64`] — the same
+/// primitive the hardware unit pipelines — so the cost is one tile transpose per 64 lanes
+/// instead of one inner loop per bit.
+///
+/// # Panics
+///
+/// Panics if a slice holds fewer than `lanes.div_ceil(64)` words.
+pub fn horizontal_to_vertical_into<S: AsMut<[u64]>>(
+    values: &[u64],
+    lanes: usize,
+    slices: &mut [S],
+) {
+    let used = &values[..values.len().min(lanes)];
     let mut tile = [0u64; 64];
-    for w in 0..words_per_slice {
-        let base = w * 64;
-        let n = used.saturating_sub(base).min(64);
-        if n == 0 {
-            break;
-        }
-        tile[..n].copy_from_slice(&values[base..base + n]);
-        tile[n..].fill(0);
+    for (w, group) in used.chunks(64).enumerate() {
+        tile[..group.len()].copy_from_slice(group);
+        tile[group.len()..].fill(0);
         let transposed = transpose_64x64(&tile);
         for (slice, &word) in slices.iter_mut().zip(&transposed) {
-            slice[w] = word;
+            slice.as_mut()[w] = word;
         }
     }
-    slices
+    let filled = used.len().div_ceil(64);
+    for (bit, slice) in slices.iter_mut().enumerate() {
+        let slice = slice.as_mut();
+        let from = if bit < 64 { filled } else { 0 };
+        slice[from..].fill(0);
+    }
 }
 
 /// Inverse of [`horizontal_to_vertical`]: reassembles per-element values from bit-slices.
 ///
-/// Word-tiled like the forward conversion. Accepts any word-slice representation of the
-/// vertical layout (`Vec<u64>` rows, borrowed `&[u64]` DRAM row words, …); slices shorter
-/// than `lanes` bits are treated as zero-padded.
+/// The allocating wrapper over [`vertical_to_horizontal_into`]. Accepts any word-slice
+/// representation of the vertical layout (`Vec<u64>` rows, borrowed `&[u64]` DRAM row
+/// words, …); slices shorter than `lanes` bits are treated as zero-padded.
 pub fn vertical_to_horizontal<S: AsRef<[u64]>>(
     slices: &[S],
     width: usize,
     lanes: usize,
 ) -> Vec<u64> {
     let mut values = vec![0u64; lanes];
+    vertical_to_horizontal_into(slices, width, &mut values);
+    values
+}
+
+/// In-place form of [`vertical_to_horizontal`]: reassembles the first `values.len()`
+/// lanes of the `width` bit-slices into `values`, overwriting every element.
+///
+/// Word-tiled like the forward conversion; slices shorter than `values.len()` bits are
+/// treated as zero-padded, and bits past `width` (or past the 64th slice) read as zero.
+pub fn vertical_to_horizontal_into<S: AsRef<[u64]>>(
+    slices: &[S],
+    width: usize,
+    values: &mut [u64],
+) {
     let width = width.min(slices.len()).min(64);
     let mut tile = [0u64; 64];
-    for w in 0..lanes.div_ceil(64) {
-        let base = w * 64;
+    for (w, group) in values.chunks_mut(64).enumerate() {
         for (bit, row) in tile.iter_mut().enumerate() {
             *row = if bit < width {
                 slices[bit].as_ref().get(w).copied().unwrap_or(0)
@@ -162,10 +192,8 @@ pub fn vertical_to_horizontal<S: AsRef<[u64]>>(
             };
         }
         let transposed = transpose_64x64(&tile);
-        let n = (lanes - base).min(64);
-        values[base..base + n].copy_from_slice(&transposed[..n]);
+        group.copy_from_slice(&transposed[..group.len()]);
     }
-    values
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use simdram_core::{
-    horizontal_to_vertical, transpose_64x64, vertical_to_horizontal, SimdramConfig, SimdramMachine,
+    horizontal_to_vertical, horizontal_to_vertical_into, transpose_64x64, vertical_to_horizontal,
+    vertical_to_horizontal_into, SimdramConfig, SimdramMachine,
 };
 
 /// The pre-tiling scalar implementation of `horizontal_to_vertical`, kept as the
@@ -85,6 +86,24 @@ proptest! {
         prop_assert_eq!(scalar_vertical_to_horizontal(&tiled, width, lanes), values.clone());
         let scalar = scalar_horizontal_to_vertical(&values, width, lanes);
         prop_assert_eq!(vertical_to_horizontal(&scalar, width, lanes), values);
+    }
+
+    // The in-place forms the machine's I/O path uses must equal the allocating wrappers
+    // bit-for-bit for ragged lane counts and value lists shorter or longer than them,
+    // whatever the destination held before: every word is overwritten.
+    #[test]
+    fn in_place_forms_match_allocating_forms(
+        values in proptest::collection::vec(any::<u64>(), 0..300),
+        width in 1usize..=64,
+        lanes in 1usize..300,
+        stale in any::<u64>(),
+    ) {
+        let mut slices = vec![vec![stale; lanes.div_ceil(64)]; width];
+        horizontal_to_vertical_into(&values, lanes, &mut slices);
+        prop_assert_eq!(&slices, &horizontal_to_vertical(&values, width, lanes));
+        let mut back = vec![stale; lanes];
+        vertical_to_horizontal_into(&slices, width, &mut back);
+        prop_assert_eq!(back, vertical_to_horizontal(&slices, width, lanes));
     }
 
     #[test]

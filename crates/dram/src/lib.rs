@@ -69,5 +69,5 @@ pub use error::{DramError, Result};
 pub use fault::{FaultModel, FaultState};
 pub use rowclone::{CopyMechanism, InterSubarrayCopy};
 pub use rowops::{RowOp, RowOpBlock, RowRef, RowTemplate, SrcRef, WriteRef};
-pub use subarray::{BGroupRow, RowAddr, Subarray};
+pub use subarray::{BGroupRow, DataRowSnapshot, RowAddr, Subarray};
 pub use timing::DramTiming;

@@ -96,7 +96,9 @@ pub enum RowAddr {
 #[derive(Debug, Clone)]
 pub struct Subarray {
     columns: usize,
-    rows: Vec<BitRow>,
+    /// Regular data rows, materialized lazily: a row owns no storage (`None`) until its
+    /// first write, and every read of an unwritten row resolves to the all-zero `c0`.
+    rows: Vec<Option<BitRow>>,
     t: [BitRow; 4],
     dcc: [BitRow; 2],
     /// Materialized contents of the hard-wired control rows `C0`/`C1`. They never change
@@ -130,6 +132,14 @@ enum Cost {
 impl Subarray {
     /// Creates a subarray with the geometry and cost models of `config`. All rows start
     /// zeroed.
+    ///
+    /// Data rows are materialized lazily. A fresh data row owns no heap storage: every
+    /// read of it (host reads, [`Subarray::row`]/[`Subarray::peek`], command sources, guard
+    /// comparisons) resolves to the hard-wired all-zero `C0` row, and its storage is
+    /// allocated once, on the row's first write (host write, [`Subarray::poke`], an
+    /// AAP/TRA destination or a compiled block's destination). Rows stay materialized from
+    /// then on. Only the B-group rows are allocated here, so a paper-geometry device costs
+    /// megabytes until it is written, and a warmed-up command path still never allocates.
     pub fn new(config: &DramConfig) -> Self {
         let columns = config.columns_per_row;
         // Single-sourced from `CommandCosts` so compiled-program aggregates built from the
@@ -139,7 +149,7 @@ impl Subarray {
         let slots = costs.clone().map(|c| trace.register(c));
         Subarray {
             columns,
-            rows: vec![BitRow::zeros(columns); config.rows_per_subarray],
+            rows: vec![None; config.rows_per_subarray],
             t: [
                 BitRow::zeros(columns),
                 BitRow::zeros(columns),
@@ -238,11 +248,11 @@ impl Subarray {
     /// Returns [`DramError::RowOutOfRange`] if `row` is not a valid data-row index.
     pub fn try_write_row(&mut self, row: usize, data: &BitRow) -> Result<()> {
         let rows = self.rows.len();
-        let dst = self
+        let slot = self
             .rows
             .get_mut(row)
             .ok_or(DramError::RowOutOfRange { row, rows })?;
-        dst.copy_from_resized(data);
+        materialize(slot, self.columns).copy_from_resized(data);
         self.record_row(Cost::Write, rowtag::data(row));
         Ok(())
     }
@@ -263,12 +273,7 @@ impl Subarray {
     ///
     /// Returns [`DramError::RowOutOfRange`] if `row` is not a valid data-row index.
     pub fn try_read_row(&mut self, row: usize) -> Result<BitRow> {
-        let rows = self.rows.len();
-        let data = self
-            .rows
-            .get(row)
-            .cloned()
-            .ok_or(DramError::RowOutOfRange { row, rows })?;
+        let data = self.row(RowAddr::Data(row))?.clone();
         self.record_row(Cost::Read, rowtag::data(row));
         Ok(data)
     }
@@ -287,10 +292,14 @@ impl Subarray {
     /// [`DramError::InvalidConfig`] for a negated wordline.
     pub fn row(&self, addr: RowAddr) -> Result<&BitRow> {
         match addr {
-            RowAddr::Data(r) => self.rows.get(r).ok_or(DramError::RowOutOfRange {
-                row: r,
-                rows: self.rows.len(),
-            }),
+            RowAddr::Data(r) => self
+                .rows
+                .get(r)
+                .map(|slot| data_or_zero(slot, &self.c0))
+                .ok_or(DramError::RowOutOfRange {
+                    row: r,
+                    rows: self.rows.len(),
+                }),
             RowAddr::BGroup(b) => match b {
                 BGroupRow::T0 => Ok(&self.t[0]),
                 BGroupRow::T1 => Ok(&self.t[1]),
@@ -329,7 +338,8 @@ impl Subarray {
     /// Directly overwrites a row's contents without issuing any DRAM command.
     ///
     /// Like [`Subarray::peek`], this is a simulation convenience used to initialize state in
-    /// tests and by the transposition unit model (which accounts for its cost separately).
+    /// tests; the transposition unit model writes through [`Subarray::data_rows_mut`]
+    /// instead (both account for their cost separately).
     ///
     /// # Errors
     ///
@@ -339,11 +349,11 @@ impl Subarray {
         match addr {
             RowAddr::Data(r) => {
                 let rows = self.rows.len();
-                let dst = self
+                let slot = self
                     .rows
                     .get_mut(r)
                     .ok_or(DramError::RowOutOfRange { row: r, rows })?;
-                dst.copy_from_resized(data);
+                materialize(slot, self.columns).copy_from_resized(data);
             }
             RowAddr::BGroup(b) => {
                 let dst = match b {
@@ -368,6 +378,32 @@ impl Subarray {
             }
         }
         Ok(())
+    }
+
+    /// Borrows the packed words of the `count` consecutive data rows starting at `base`
+    /// for writing, materializing each one.
+    ///
+    /// This is the transposition unit's write port: a host write transposes straight
+    /// into the destination rows instead of staging [`BitRow`]s. Like [`Subarray::poke`]
+    /// it records no command (the caller accounts for the transfer), and callers must not
+    /// set bits past the row length.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DramError::RowOutOfRange`] if the range runs past the last data row.
+    pub fn data_rows_mut(&mut self, base: usize, count: usize) -> Result<Vec<&mut [u64]>> {
+        let rows = self.rows.len();
+        let columns = self.columns;
+        let slots = self.rows.get_mut(base..base.saturating_add(count)).ok_or(
+            DramError::RowOutOfRange {
+                row: base.saturating_add(count).saturating_sub(1),
+                rows,
+            },
+        )?;
+        Ok(slots
+            .iter_mut()
+            .map(|slot| materialize(slot, columns).words_mut())
+            .collect())
     }
 
     /// `AAP src, dst`: copies the value driven by `src` into `dst` through the sense
@@ -568,7 +604,7 @@ impl Subarray {
 
     fn phys_mut(&mut self, phys: Phys) -> &mut BitRow {
         match phys {
-            Phys::Data(r) => &mut self.rows[r],
+            Phys::Data(r) => materialize(&mut self.rows[r], self.columns),
             Phys::T(i) => &mut self.t[i],
             Phys::Dcc(i) => &mut self.dcc[i],
             Phys::Const(_) => unreachable!("control rows are never writable"),
@@ -577,11 +613,18 @@ impl Subarray {
 
     /// Disjoint borrows of two distinct physical rows (read source, written destination).
     fn phys_pair_mut(&mut self, src: Phys, dst: Phys) -> (&BitRow, &mut BitRow) {
-        let Subarray { rows, t, dcc, .. } = self;
+        let Subarray {
+            rows,
+            t,
+            dcc,
+            c0,
+            columns,
+            ..
+        } = self;
         match (src, dst) {
             (Phys::Data(i), Phys::Data(j)) => {
                 let (a, b) = split_pair(rows, i, j);
-                (a, b)
+                (data_or_zero(a, c0), materialize(b, *columns))
             }
             (Phys::T(i), Phys::T(j)) => {
                 let (a, b) = split_pair(t, i, j);
@@ -591,11 +634,11 @@ impl Subarray {
                 let (a, b) = split_pair(dcc, i, j);
                 (a, b)
             }
-            (Phys::Data(i), Phys::T(j)) => (&rows[i], &mut t[j]),
-            (Phys::Data(i), Phys::Dcc(j)) => (&rows[i], &mut dcc[j]),
-            (Phys::T(i), Phys::Data(j)) => (&t[i], &mut rows[j]),
+            (Phys::Data(i), Phys::T(j)) => (data_or_zero(&rows[i], c0), &mut t[j]),
+            (Phys::Data(i), Phys::Dcc(j)) => (data_or_zero(&rows[i], c0), &mut dcc[j]),
+            (Phys::T(i), Phys::Data(j)) => (&t[i], materialize(&mut rows[j], *columns)),
             (Phys::T(i), Phys::Dcc(j)) => (&t[i], &mut dcc[j]),
-            (Phys::Dcc(i), Phys::Data(j)) => (&dcc[i], &mut rows[j]),
+            (Phys::Dcc(i), Phys::Data(j)) => (&dcc[i], materialize(&mut rows[j], *columns)),
             (Phys::Dcc(i), Phys::T(j)) => (&dcc[i], &mut t[j]),
             (Phys::Const(_), _) | (_, Phys::Const(_)) => {
                 unreachable!("constant rows are handled before pairing")
@@ -667,7 +710,7 @@ impl Subarray {
         rb.copy_from(sense).expect("subarray rows share one width");
         rc.copy_from(sense).expect("subarray rows share one width");
         if let Some(r) = dst_row {
-            rows[r]
+            materialize(&mut rows[r], *columns)
                 .copy_from(sense)
                 .expect("subarray rows share one width");
         }
@@ -678,11 +721,11 @@ impl Subarray {
     fn latch(&mut self, addr: RowAddr) -> Result<()> {
         match addr {
             RowAddr::Data(r) => {
-                let src = self.rows.get(r).ok_or(DramError::RowOutOfRange {
+                let slot = self.rows.get(r).ok_or(DramError::RowOutOfRange {
                     row: r,
                     rows: self.rows.len(),
                 })?;
-                self.sense.copy_from(src)?;
+                self.sense.copy_from(data_or_zero(slot, &self.c0))?;
             }
             RowAddr::BGroup(b) => match b {
                 BGroupRow::T0 => self.sense.copy_from(&self.t[0])?,
@@ -706,11 +749,11 @@ impl Subarray {
         match addr {
             RowAddr::Data(r) => {
                 let rows = self.rows.len();
-                let dst = self
+                let slot = self
                     .rows
                     .get_mut(r)
                     .ok_or(DramError::RowOutOfRange { row: r, rows })?;
-                dst.copy_from(&self.sense)?;
+                materialize(slot, self.columns).copy_from(&self.sense)?;
             }
             RowAddr::BGroup(b) => match b {
                 BGroupRow::T0 => self.t[0].copy_from(&self.sense)?,
@@ -896,10 +939,11 @@ impl Subarray {
                     if let Some(w) = dst {
                         match row_ref_phys(w.row, bases) {
                             Phys::Data(r) => {
+                                let row = materialize(&mut self.rows[r], self.columns);
                                 if w.negated {
-                                    self.sense.not_into(&mut self.rows[r])
+                                    self.sense.not_into(row)
                                 } else {
-                                    self.rows[r].copy_from(&self.sense)
+                                    row.copy_from(&self.sense)
                                 }
                             }
                             Phys::T(i) => {
@@ -944,7 +988,7 @@ impl Subarray {
                         match s {
                             SrcRef::Row { row, negated } => {
                                 let words = match row_ref_phys(row, bases) {
-                                    Phys::Data(r) => rows[r].words(),
+                                    Phys::Data(r) => data_or_zero(&rows[r], c0).words(),
                                     Phys::T(i) => t[i].words(),
                                     Phys::Dcc(i) => dcc[i].words(),
                                     Phys::Const(_) => {
@@ -991,7 +1035,7 @@ impl Subarray {
                         // ever names it, so "restoring" it into the destination cell is
                         // a constant-time row swap rather than a word copy.
                         let target = match row_ref_phys(w.row, bases) {
-                            Phys::Data(r) => &mut rows[r],
+                            Phys::Data(r) => materialize(&mut rows[r], *columns),
                             Phys::T(i) => &mut t[i],
                             Phys::Dcc(i) => &mut dcc[i],
                             Phys::Const(_) => {
@@ -1055,30 +1099,95 @@ impl Subarray {
     /// temporaries are dead between commands). Guarded re-execution in `simdram-core`
     /// uses this with [`Subarray::restore_data_rows`] / [`Subarray::data_rows_equal`]
     /// to detect and recover injected faults; none of the three record commands.
-    pub fn clone_data_rows(&self) -> Vec<BitRow> {
-        self.rows.clone()
+    ///
+    /// Unwritten rows are captured as unwritten, so a snapshot costs storage only for
+    /// the rows that have been written.
+    pub fn snapshot_data_rows(&self) -> DataRowSnapshot {
+        DataRowSnapshot {
+            rows: self.rows.clone(),
+        }
     }
 
-    /// Restores a snapshot taken by [`Subarray::clone_data_rows`].
+    /// Restores a snapshot taken by [`Subarray::snapshot_data_rows`]. A row unwritten
+    /// at snapshot time restores as zeros (rows never dematerialize).
     ///
     /// # Panics
     ///
     /// Panics if the snapshot came from a different geometry.
-    pub fn restore_data_rows(&mut self, snapshot: &[BitRow]) {
+    pub fn restore_data_rows(&mut self, snapshot: &DataRowSnapshot) {
         assert_eq!(
-            snapshot.len(),
+            snapshot.rows.len(),
             self.rows.len(),
             "data-row snapshot geometry mismatch"
         );
-        for (row, saved) in self.rows.iter_mut().zip(snapshot) {
-            row.copy_from(saved).expect("subarray rows share one width");
+        for (row, saved) in self.rows.iter_mut().zip(&snapshot.rows) {
+            match (row, saved) {
+                (None, None) => {}
+                (Some(row), None) => row.fill(false),
+                (row, Some(saved)) => materialize(row, self.columns)
+                    .copy_from(saved)
+                    .expect("subarray rows share one width"),
+            }
         }
     }
 
     /// Compares every data row against a snapshot taken by
-    /// [`Subarray::clone_data_rows`].
-    pub fn data_rows_equal(&self, snapshot: &[BitRow]) -> bool {
-        self.rows.as_slice() == snapshot
+    /// [`Subarray::snapshot_data_rows`]; unwritten rows compare as zeros.
+    pub fn data_rows_equal(&self, snapshot: &DataRowSnapshot) -> bool {
+        self.mismatched_data_rows(snapshot) == 0
+    }
+
+    /// Number of data rows whose contents differ from `snapshot` (unwritten rows count
+    /// as zeros).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot came from a different geometry.
+    pub fn mismatched_data_rows(&self, snapshot: &DataRowSnapshot) -> usize {
+        assert_eq!(
+            snapshot.rows.len(),
+            self.rows.len(),
+            "data-row snapshot geometry mismatch"
+        );
+        self.rows
+            .iter()
+            .zip(&snapshot.rows)
+            .filter(|(row, saved)| match (row, saved) {
+                (None, None) => false,
+                (Some(row), None) | (None, Some(row)) => !row.is_zero(),
+                (Some(row), Some(saved)) => row != saved,
+            })
+            .count()
+    }
+}
+
+/// An opaque snapshot of a subarray's data rows, taken by
+/// [`Subarray::snapshot_data_rows`] and consumed by [`Subarray::restore_data_rows`],
+/// [`Subarray::data_rows_equal`] and [`Subarray::mismatched_data_rows`].
+#[derive(Debug, Clone)]
+pub struct DataRowSnapshot {
+    rows: Vec<Option<BitRow>>,
+}
+
+/// Borrows a data row, resolving an unwritten row to the all-zero `zero` (`C0`) row.
+///
+/// This and [`materialize`] sit on every compiled row op, so they are plain matches
+/// forced inline: unoptimized test builds time the compiled kernels too.
+#[inline(always)]
+fn data_or_zero<'a>(slot: &'a Option<BitRow>, zero: &'a BitRow) -> &'a BitRow {
+    match slot {
+        Some(row) => row,
+        None => zero,
+    }
+}
+
+/// Materializes a data row as zeros on its first write — the one place a data row's
+/// storage is allocated — and borrows it for writing.
+#[inline(always)]
+fn materialize(slot: &mut Option<BitRow>, columns: usize) -> &mut BitRow {
+    match slot {
+        Some(row) => row,
+        None => slot.insert(BitRow::zeros(columns)),
     }
 }
 
@@ -1130,7 +1239,7 @@ fn t_index(row: BGroupRow) -> Option<usize> {
 }
 
 /// Disjoint `(&rows[i], &mut rows[j])` borrows of two distinct rows of one slice.
-fn split_pair(rows: &mut [BitRow], i: usize, j: usize) -> (&BitRow, &mut BitRow) {
+fn split_pair<T>(rows: &mut [T], i: usize, j: usize) -> (&T, &mut T) {
     debug_assert_ne!(i, j);
     if i < j {
         let (lo, hi) = rows.split_at_mut(j);
@@ -1145,6 +1254,7 @@ fn split_pair(rows: &mut [BitRow], i: usize, j: usize) -> (&BitRow, &mut BitRow)
 mod tests {
     use super::*;
     use crate::command::CommandKind;
+    use crate::TraceAggregate;
 
     fn small_subarray() -> Subarray {
         Subarray::new(&DramConfig::tiny())
@@ -1421,6 +1531,351 @@ mod tests {
             Err(DramError::RowOutOfRange { .. })
         ));
         assert!(compiled.apply_block(&block, &[], false).is_err());
+    }
+
+    /// Indices of the data rows that own storage.
+    fn materialized(sa: &Subarray) -> Vec<usize> {
+        (0..sa.rows()).filter(|&r| sa.rows[r].is_some()).collect()
+    }
+
+    /// A one-region block whose aggregate charges one AAP per op.
+    fn block_of(ops: Vec<RowOp>) -> RowOpBlock {
+        let costs = CommandCosts::new(&DramConfig::tiny());
+        let aggregate = TraceAggregate::from_commands(vec![costs.aap().clone(); ops.len()]);
+        RowOpBlock::new(ops, 1, aggregate).unwrap()
+    }
+
+    fn data(offset: u32) -> RowRef {
+        RowRef::Data { region: 0, offset }
+    }
+
+    #[test]
+    fn a_fresh_paper_geometry_subarray_materializes_no_data_rows() {
+        let sa = Subarray::new(&DramConfig::default());
+        assert_eq!(sa.rows(), DramConfig::default().rows_per_subarray);
+        assert_eq!(materialized(&sa), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn reads_of_unwritten_rows_see_zeros_without_materializing() {
+        let mut sa = small_subarray();
+        let zeros = BitRow::zeros(256);
+        assert_eq!(sa.read_row(0), zeros);
+        assert_eq!(sa.try_read_row(1).unwrap(), zeros);
+        assert_eq!(sa.row(RowAddr::Data(2)).unwrap(), &zeros);
+        assert_eq!(sa.peek(RowAddr::Data(3)).unwrap(), zeros);
+        // Command sources: AAP into the B-group, AP, then a TRA over the staged zeros.
+        sa.poke(RowAddr::BGroup(BGroupRow::T0), &BitRow::ones(256))
+            .unwrap();
+        sa.aap(RowAddr::Data(4), RowAddr::BGroup(BGroupRow::T0))
+            .unwrap();
+        sa.aap(RowAddr::Data(5), RowAddr::BGroup(BGroupRow::Dcc0N))
+            .unwrap();
+        sa.ap(RowAddr::Data(6)).unwrap();
+        sa.ap_tra(BGroupRow::T0, BGroupRow::Dcc0, BGroupRow::C1)
+            .unwrap();
+        assert_eq!(
+            sa.peek(RowAddr::BGroup(BGroupRow::T0)).unwrap(),
+            BitRow::ones(256)
+        );
+        // Compiled-block sources: copies, complemented copies and a direct majority.
+        let block = block_of(vec![
+            RowOp::Copy {
+                src: data(7),
+                dst: RowRef::T(1),
+            },
+            RowOp::CopyInv {
+                src: data(8),
+                dst: RowRef::Dcc(1),
+            },
+            RowOp::MajDirect {
+                srcs: [
+                    SrcRef::Row {
+                        row: data(9),
+                        negated: false,
+                    },
+                    SrcRef::Row {
+                        row: data(10),
+                        negated: true,
+                    },
+                    SrcRef::Const(true),
+                ],
+                dst: Some(WriteRef {
+                    row: RowRef::T(2),
+                    negated: false,
+                }),
+            },
+        ]);
+        sa.apply_block(&block, &[0], true).unwrap();
+        assert_eq!(sa.peek(RowAddr::BGroup(BGroupRow::T1)).unwrap(), zeros);
+        assert_eq!(
+            sa.peek(RowAddr::BGroup(BGroupRow::Dcc1)).unwrap(),
+            BitRow::ones(256)
+        );
+        assert_eq!(
+            sa.peek(RowAddr::BGroup(BGroupRow::T2)).unwrap(),
+            BitRow::ones(256)
+        );
+        // Guard snapshots and compares.
+        let snapshot = sa.snapshot_data_rows();
+        assert!(sa.data_rows_equal(&snapshot));
+        sa.restore_data_rows(&snapshot);
+        assert_eq!(materialized(&sa), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn each_write_path_materializes_exactly_the_rows_it_names() {
+        let mut sa = small_subarray();
+        let mut expected = Vec::new();
+        let mut wrote = |sa: &Subarray, rows: &[usize]| {
+            expected.extend_from_slice(rows);
+            expected.sort_unstable();
+            assert_eq!(materialized(sa), expected);
+        };
+        sa.write_row(3, &BitRow::ones(256));
+        wrote(&sa, &[3]);
+        sa.poke(RowAddr::Data(5), &BitRow::zeros(256)).unwrap();
+        wrote(&sa, &[5]);
+        sa.aap(RowAddr::Data(0), RowAddr::Data(7)).unwrap();
+        wrote(&sa, &[7]);
+        sa.aap(RowAddr::BGroup(BGroupRow::C1), RowAddr::Data(8))
+            .unwrap();
+        wrote(&sa, &[8]);
+        sa.aap(RowAddr::BGroup(BGroupRow::Dcc0N), RowAddr::Data(9))
+            .unwrap();
+        wrote(&sa, &[9]);
+        // Fused (plain T operands) and general (negated operand) AAP-TRA destinations.
+        sa.aap_tra(
+            BGroupRow::T0,
+            BGroupRow::T1,
+            BGroupRow::T2,
+            RowAddr::Data(10),
+        )
+        .unwrap();
+        wrote(&sa, &[10]);
+        sa.aap_tra(
+            BGroupRow::T0,
+            BGroupRow::Dcc0N,
+            BGroupRow::C1,
+            RowAddr::Data(11),
+        )
+        .unwrap();
+        wrote(&sa, &[11]);
+        assert_eq!(sa.data_rows_mut(20, 3).unwrap().len(), 3);
+        wrote(&sa, &[20, 21, 22]);
+        assert!(sa.data_rows_mut(sa.rows() - 1, 2).is_err());
+        wrote(&sa, &[]);
+        // Every compiled destination shape, in a block based at row 30.
+        let block = block_of(vec![
+            RowOp::Copy {
+                src: data(0),
+                dst: data(1),
+            },
+            RowOp::CopyInv {
+                src: RowRef::T(0),
+                dst: data(2),
+            },
+            RowOp::Fill {
+                dst: data(3),
+                value: false,
+            },
+            RowOp::Invert { dst: data(4) },
+            RowOp::MajFused {
+                t: [0, 1, 2],
+                dst: Some(data(5)),
+            },
+            RowOp::Maj {
+                a: BGroupRow::T0,
+                b: BGroupRow::Dcc0N,
+                c: BGroupRow::C0,
+                dst: Some(WriteRef {
+                    row: data(6),
+                    negated: true,
+                }),
+            },
+            RowOp::MajDirect {
+                srcs: [
+                    SrcRef::Row {
+                        row: data(0),
+                        negated: false,
+                    },
+                    SrcRef::Const(true),
+                    SrcRef::Row {
+                        row: RowRef::T(3),
+                        negated: false,
+                    },
+                ],
+                dst: Some(WriteRef {
+                    row: data(7),
+                    negated: false,
+                }),
+            },
+        ]);
+        sa.apply_block(&block, &[30], false).unwrap();
+        wrote(&sa, &[31, 32, 33, 34, 35, 36, 37]);
+        // Materialized rows stay materialized, and unwritten-at-snapshot rows restore as
+        // zeros.
+        let snapshot = sa.snapshot_data_rows();
+        sa.write_row(40, &BitRow::ones(256));
+        wrote(&sa, &[40]);
+        sa.restore_data_rows(&snapshot);
+        assert_eq!(sa.peek(RowAddr::Data(40)).unwrap(), BitRow::zeros(256));
+        wrote(&sa, &[]);
+    }
+
+    #[test]
+    fn guard_snapshot_taken_before_a_rows_first_write_restores_zeros() {
+        let mut sa = small_subarray();
+        sa.write_row(1, &BitRow::splat_word(0x1234, 256));
+        let snapshot = sa.snapshot_data_rows();
+        sa.write_row(2, &BitRow::ones(256));
+        sa.write_row(1, &BitRow::ones(256));
+        assert!(!sa.data_rows_equal(&snapshot));
+        assert_eq!(sa.mismatched_data_rows(&snapshot), 2);
+        sa.restore_data_rows(&snapshot);
+        assert!(sa.data_rows_equal(&snapshot));
+        assert_eq!(
+            sa.peek(RowAddr::Data(1)).unwrap(),
+            BitRow::splat_word(0x1234, 256)
+        );
+        assert_eq!(sa.peek(RowAddr::Data(2)).unwrap(), BitRow::zeros(256));
+        // A materialized all-zero row equals an unwritten one, in both directions.
+        let fresh = small_subarray().snapshot_data_rows();
+        let mut zeroed = small_subarray();
+        zeroed.write_row(0, &BitRow::zeros(256));
+        assert!(zeroed.data_rows_equal(&fresh));
+        assert!(small_subarray().data_rows_equal(&zeroed.snapshot_data_rows()));
+    }
+
+    #[test]
+    fn interpreted_and_compiled_agree_on_a_partly_materialized_subarray() {
+        // One block per interpreted command group. Only rows 0 and 2 are written up
+        // front: rows 1, 4 and 6 are read while unwritten, and rows 3, 5, 7 and 8
+        // materialize as destinations.
+        type Command<'a> = &'a dyn Fn(&mut Subarray);
+        let steps: Vec<(RowOp, Command)> = vec![
+            (
+                RowOp::Copy {
+                    src: data(1),
+                    dst: RowRef::T(0),
+                },
+                &|sa| {
+                    sa.aap(RowAddr::Data(1), RowAddr::BGroup(BGroupRow::T0))
+                        .unwrap()
+                },
+            ),
+            (
+                RowOp::Copy {
+                    src: data(2),
+                    dst: RowRef::T(1),
+                },
+                &|sa| {
+                    sa.aap(RowAddr::Data(2), RowAddr::BGroup(BGroupRow::T1))
+                        .unwrap()
+                },
+            ),
+            (
+                RowOp::Copy {
+                    src: data(0),
+                    dst: RowRef::T(2),
+                },
+                &|sa| {
+                    sa.aap(RowAddr::Data(0), RowAddr::BGroup(BGroupRow::T2))
+                        .unwrap()
+                },
+            ),
+            (
+                RowOp::MajFused {
+                    t: [0, 1, 2],
+                    dst: Some(data(3)),
+                },
+                &|sa| {
+                    sa.aap_tra(
+                        BGroupRow::T0,
+                        BGroupRow::T1,
+                        BGroupRow::T2,
+                        RowAddr::Data(3),
+                    )
+                    .unwrap()
+                },
+            ),
+            (
+                RowOp::CopyInv {
+                    src: data(4),
+                    dst: RowRef::Dcc(0),
+                },
+                &|sa| {
+                    sa.aap(RowAddr::Data(4), RowAddr::BGroup(BGroupRow::Dcc0N))
+                        .unwrap()
+                },
+            ),
+            (
+                RowOp::Copy {
+                    src: RowRef::Dcc(0),
+                    dst: data(5),
+                },
+                &|sa| {
+                    sa.aap(RowAddr::BGroup(BGroupRow::Dcc0), RowAddr::Data(5))
+                        .unwrap()
+                },
+            ),
+            (
+                RowOp::CopyInv {
+                    src: data(6),
+                    dst: data(7),
+                },
+                &|sa| {
+                    sa.aap(RowAddr::Data(6), RowAddr::BGroup(BGroupRow::Dcc1))
+                        .unwrap();
+                    sa.aap(RowAddr::BGroup(BGroupRow::Dcc1N), RowAddr::Data(7))
+                        .unwrap()
+                },
+            ),
+            (
+                RowOp::Maj {
+                    a: BGroupRow::T0,
+                    b: BGroupRow::Dcc0N,
+                    c: BGroupRow::C1,
+                    dst: Some(WriteRef {
+                        row: data(8),
+                        negated: false,
+                    }),
+                },
+                &|sa| {
+                    sa.aap_tra(
+                        BGroupRow::T0,
+                        BGroupRow::Dcc0N,
+                        BGroupRow::C1,
+                        RowAddr::Data(8),
+                    )
+                    .unwrap()
+                },
+            ),
+        ];
+        let config = DramConfig::tiny();
+        let mut interpreted = Subarray::new(&config);
+        let mut compiled = Subarray::new(&config);
+        for sa in [&mut interpreted, &mut compiled] {
+            sa.write_row(0, &BitRow::splat_word(0xF0F0_1234, 256));
+            sa.write_row(2, &BitRow::splat_word(0x0FF0_4321, 256));
+        }
+        for (op, command) in &steps {
+            command(&mut interpreted);
+            // CopyInv data→data stands for two interpreted AAPs through DCC1; only data
+            // rows are compared below, so the compiled side skips the staging.
+            compiled
+                .apply_block(&block_of(vec![*op]), &[0], false)
+                .unwrap();
+        }
+        for row in 0..interpreted.rows() {
+            assert_eq!(
+                interpreted.row(RowAddr::Data(row)).unwrap(),
+                compiled.row(RowAddr::Data(row)).unwrap(),
+                "data row {row} diverged"
+            );
+        }
+        assert_eq!(materialized(&interpreted), materialized(&compiled));
+        assert_eq!(materialized(&compiled), vec![0, 2, 3, 5, 7, 8]);
     }
 
     #[test]

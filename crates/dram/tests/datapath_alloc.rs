@@ -1,6 +1,9 @@
-//! Enforces the datapath's zero-allocation invariant: once a subarray is warmed up (cost
-//! table registered, trace capacity reserved), AAP / AP / TRA commands must not touch the
-//! heap at all — no `BitRow` clones, no trace growth beyond the reserved capacity.
+//! Enforces the datapath's allocation invariant: a command allocates at most once per
+//! data row, on that row's first write (data rows materialize lazily; see
+//! `Subarray::new`), and never otherwise. Once a subarray is warmed up (cost table
+//! registered, trace capacity reserved, every destination row written once), AAP / AP /
+//! TRA commands must not touch the heap at all — no `BitRow` clones, no row
+//! materialization, no trace growth beyond the reserved capacity.
 //!
 //! The whole check lives in a single `#[test]` so the global allocation counter is not
 //! perturbed by concurrently running tests in this binary.

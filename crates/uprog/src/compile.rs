@@ -804,6 +804,41 @@ mod tests {
     }
 
     #[test]
+    fn compiled_matches_interpreted_on_partly_materialized_subarrays() {
+        // Only the even bits of operand A are ever written: odd A bits, all of B and
+        // every output/temp row start unwritten, so sources resolve to the shared zero
+        // row and destinations materialize on first write in both modes.
+        let config = DramConfig::tiny();
+        for op in [
+            Operation::Add,
+            Operation::Mul,
+            Operation::Greater,
+            Operation::Abs,
+        ] {
+            let program = build_program(Target::Simdram, op, 8, CodegenOptions::optimized());
+            let compiled = CompiledProgram::compile(&program, &costs()).unwrap();
+            let mut interp = Subarray::new(&config);
+            let mut comp = Subarray::new(&config);
+            for bit in (0..8).step_by(2) {
+                let row = simdram_dram::BitRow::from_fn(config.columns_per_row, |lane| {
+                    (lane >> bit) & 1 == 1
+                });
+                interp.write_row(bit, &row);
+                comp.write_row(bit, &row);
+            }
+            execute::execute(&program, &mut interp, &binding()).unwrap();
+            compiled.run(&mut comp, &binding(), false).unwrap();
+            for row in 0..interp.rows() {
+                assert_eq!(
+                    interp.row(RowAddr::Data(row)).unwrap(),
+                    comp.row(RowAddr::Data(row)).unwrap(),
+                    "{op:?}: row {row} diverged"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn trace_free_run_keeps_aggregates_but_no_history() {
         let program = build_program(
             Target::Simdram,
